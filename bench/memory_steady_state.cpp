@@ -1,8 +1,8 @@
 // Steady-state memory behaviour of the serving hot path.
 //
-// BM_MemorySteadyState: closed-loop clients against a single-model Server,
+// BM_MemorySteadyState: closed-loop clients against a one-slot Engine,
 // sweeping clients {1, 4} x seq-bucket mix {single, mixed} x pools
-// {off, on}. Each configuration warms the server first (every seq bucket
+// {off, on}. Each configuration warms the engine first (every seq bucket
 // served enough times for the pool free lists and workspace slots to reach
 // their high-water sizes), snapshots the pool counters, then measures a
 // sustained window. The headline counter is alloc_delta_warm: buffer-pool
@@ -31,7 +31,7 @@
 #include "numerics/rng.h"
 #include "obs/trace.h"
 #include "runtime/thread_pool.h"
-#include "serve/server.h"
+#include "serve/engine.h"
 #include "transformer/infer.h"
 
 namespace {
@@ -43,6 +43,7 @@ using namespace std::chrono_literals;
 constexpr std::size_t kMaxSeq = 64;
 constexpr int kWarmRounds = 4;
 constexpr int kRequestsPerClient = 8;
+constexpr char kModel[] = "default";
 
 ModelConfig bench_config() {
   ModelConfig c = ModelConfig::roberta_like();
@@ -91,14 +92,14 @@ BatchInput request_for(std::uint64_t seed, std::size_t seq) {
 }
 
 /// One closed-loop wave: every client runs its request stream to completion.
-void run_wave(serve::Server& server,
+void run_wave(serve::Engine& engine,
               const std::vector<std::vector<BatchInput>>& streams) {
   std::vector<std::thread> threads;
   threads.reserve(streams.size());
   for (std::size_t c = 0; c < streams.size(); ++c) {
     threads.emplace_back([&, c] {
       for (const BatchInput& in : streams[c]) {
-        Tensor logits = server.submit(in).get();
+        Tensor logits = engine.submit(kModel, in).get();
         benchmark::DoNotOptimize(logits.data());
       }
     });
@@ -111,10 +112,9 @@ void BM_MemorySteadyState(benchmark::State& state) {
   const bool mixed_seq = state.range(1) != 0;
   const bool use_pool = state.range(2) != 0;
 
-  serve::ServeConfig cfg;
+  serve::SlotConfig cfg;
   cfg.max_batch = 8;
   cfg.max_wait = 500us;
-  cfg.threads = 0;  // hardware_concurrency
   cfg.use_pool = use_pool;
 
   // Fixed request streams: the mixed sweep alternates seq buckets 32/64 so
@@ -128,7 +128,8 @@ void BM_MemorySteadyState(benchmark::State& state) {
           request_for(c * 1001 + static_cast<std::uint64_t>(k), seq));
     }
 
-  serve::Server server(fixture().model, *fixture().lut, cfg);
+  serve::Engine engine(serve::EngineConfig{/*threads=*/0});
+  engine.register_model(kModel, fixture().model, *fixture().lut, cfg);
 
   // Trace the whole run: the per-thread rings are allocated once (at
   // enable() / first event per thread, i.e. during warmup), so the
@@ -138,16 +139,16 @@ void BM_MemorySteadyState(benchmark::State& state) {
 
   // Warm every seq bucket: pool free lists and workspace slots reach their
   // high-water sizes, so the measured window below is pure steady state.
-  for (int r = 0; r < kWarmRounds; ++r) run_wave(server, streams);
+  for (int r = 0; r < kWarmRounds; ++r) run_wave(engine, streams);
 
-  const serve::ServerStats warm = server.stats();
+  const serve::SlotStats warm = engine.model_stats(kModel);
   const benchutil::MemorySnapshot rss0 = benchutil::MemorySnapshot::take();
 
-  for (auto _ : state) run_wave(server, streams);
+  for (auto _ : state) run_wave(engine, streams);
 
-  const serve::ServerStats done = server.stats();
+  const serve::SlotStats done = engine.model_stats(kModel);
   const benchutil::MemorySnapshot rss1 = benchutil::MemorySnapshot::take();
-  server.shutdown();
+  engine.shutdown();
 
   const auto total_requests =
       static_cast<std::size_t>(state.iterations()) * clients *

@@ -1,6 +1,8 @@
 #include "core/serialization.h"
 
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -38,7 +40,14 @@ std::vector<float> read_floats(std::istream& is, const char* key,
   std::vector<float> out;
   std::string tok;
   while (ls >> tok) {
-    out.push_back(std::strtof(tok.c_str(), nullptr));
+    // Strict: the whole token must parse, to a finite value (strtof alone
+    // would read "abc" as 0, "1.5junk" as 1.5 and accept "nan"/"inf").
+    char* end = nullptr;
+    const float v = std::strtof(tok.c_str(), &end);
+    if (end != tok.c_str() + tok.size() || !std::isfinite(v))
+      throw std::runtime_error("serialization: bad value '" + tok +
+                               "' for key '" + key + "'");
+    out.push_back(v);
   }
   if (out.size() != expect)
     throw std::runtime_error("serialization: wrong count for key '" +

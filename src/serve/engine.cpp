@@ -320,20 +320,24 @@ const SlotConfig& Engine::model_config(std::string_view model_id) const {
   return slot->cfg;
 }
 
+SlotStats Engine::snapshot(const ModelSlot& slot) {
+  // depths() reads {depth, peak} under one lock: two separate depth() /
+  // peak_depth() calls can interleave with a submit and snapshot an
+  // impossible depth > peak.
+  const RequestQueue::Depths d = slot.queue.depths();
+  if (slot.pool) {
+    const runtime::PoolStats ps = slot.pool->stats();
+    return slot.ledger.snapshot(d.depth, d.peak, &ps);
+  }
+  return slot.ledger.snapshot(d.depth, d.peak);
+}
+
 SlotStats Engine::model_stats(std::string_view model_id) const {
   ModelSlot* slot = find_slot(model_id);
   if (slot == nullptr)
     throw std::out_of_range("Engine::model_stats: unknown model '" +
                             std::string(model_id) + "'");
-  // depths() reads {depth, peak} under one lock: two separate depth() /
-  // peak_depth() calls can interleave with a submit and snapshot an
-  // impossible depth > peak.
-  const RequestQueue::Depths d = slot->queue.depths();
-  if (slot->pool) {
-    const runtime::PoolStats ps = slot->pool->stats();
-    return slot->ledger.snapshot(d.depth, d.peak, &ps);
-  }
-  return slot->ledger.snapshot(d.depth, d.peak);
+  return snapshot(*slot);
 }
 
 EngineStats Engine::stats() const {
@@ -347,14 +351,7 @@ EngineStats Engine::stats() const {
   }
   EngineStats out;
   for (ModelSlot* slot : slots) {
-    SlotStats s;
-    const RequestQueue::Depths d = slot->queue.depths();
-    if (slot->pool) {
-      const runtime::PoolStats ps = slot->pool->stats();
-      s = slot->ledger.snapshot(d.depth, d.peak, &ps);
-    } else {
-      s = slot->ledger.snapshot(d.depth, d.peak);
-    }
+    SlotStats s = snapshot(*slot);
     out.total.submitted += s.submitted;
     out.total.rejected += s.rejected;
     out.total.rejected_validation += s.rejected_validation;
@@ -374,16 +371,11 @@ EngineStats Engine::stats() const {
         std::max(out.total.pool_bytes_peak, s.pool_bytes_peak);
     out.total.queue_depth += s.queue_depth;
     // A high-water mark is not summable across slots (their peaks need not
-    // coincide in time): report the worst single-slot peak, like latency.
+    // coincide in time): report the worst single-slot peak.
     out.total.peak_queue_depth =
         std::max(out.total.peak_queue_depth, s.peak_queue_depth);
-    out.total.p50_latency_us = std::max(out.total.p50_latency_us,
-                                        s.p50_latency_us);
-    out.total.p95_latency_us = std::max(out.total.p95_latency_us,
-                                        s.p95_latency_us);
-    // Stage histograms aggregate exactly (bucket-wise sums), unlike the
-    // quantile fields above; the total's stage snapshots are recomputed
-    // from the merged histograms below.
+    // Latency histograms aggregate exactly (bucket-wise sums); the total's
+    // snapshots are recomputed from the merged histograms below.
     out.total.hist_queue_wait.merge(s.hist_queue_wait);
     out.total.hist_batch_wait.merge(s.hist_batch_wait);
     out.total.hist_exec.merge(s.hist_exec);
@@ -391,6 +383,7 @@ EngineStats Engine::stats() const {
     out.total.hist_total.merge(s.hist_total);
     out.models.emplace(slot->id, std::move(s));
   }
+  out.total.stage_total = make_stage_snapshot(out.total.hist_total);
   out.total.stage_queue_wait = make_stage_snapshot(out.total.hist_queue_wait);
   out.total.stage_batch_wait = make_stage_snapshot(out.total.hist_batch_wait);
   out.total.stage_exec = make_stage_snapshot(out.total.hist_exec);

@@ -120,8 +120,8 @@ class Engine {
 
   /// One slot's counters; throws std::out_of_range on unknown id.
   SlotStats model_stats(std::string_view model_id) const;
-  /// Every slot plus the aggregate (counters summed, latency quantiles the
-  /// worst across slots; stage histograms merged bucket-wise).
+  /// Every slot plus the aggregate (counters summed; latency histograms
+  /// merged bucket-wise, the total's snapshots read from the merged ones).
   EngineStats stats() const;
 
   /// Prometheus text exposition of every registered instrument, evaluated
@@ -163,6 +163,8 @@ class Engine {
   /// nullptr when unknown. The returned pointer stays valid until the
   /// engine is destroyed (slots are never erased, only shut down).
   ModelSlot* find_slot(std::string_view model_id) const;
+  /// The slot's ledger snapshot with its queue depths and pool counters.
+  static SlotStats snapshot(const ModelSlot& slot);
 
   /// Hang one slot's instruments onto metrics_ (called once per
   /// register_model; callbacks capture the ModelSlot*, which stays valid

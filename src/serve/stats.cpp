@@ -22,18 +22,6 @@ void LatencyHistogram::record(std::chrono::microseconds latency) {
   sum_us_ += us;
 }
 
-double LatencyHistogram::quantile_us(double q) const {
-  if (total_ == 0) return 0.0;
-  const double target = q * static_cast<double>(total_);
-  std::uint64_t seen = 0;
-  for (std::size_t b = 0; b < kBuckets; ++b) {
-    seen += counts_[b];
-    if (static_cast<double>(seen) >= target)
-      return static_cast<double>(1ull << (b + 1));  // upper bucket boundary
-  }
-  return static_cast<double>(1ull << kBuckets);
-}
-
 double LatencyHistogram::quantile(double q) const {
   if (total_ == 0) return 0.0;
   const double target = q * static_cast<double>(total_);
@@ -137,10 +125,9 @@ SlotStats StatsLedger::snapshot(std::size_t queue_depth,
     s.mean_batch_occupancy =
         static_cast<double>(batch_sequences_) / static_cast<double>(batches_);
   }
-  s.p50_latency_us = latency_.quantile_us(0.50);
-  s.p95_latency_us = latency_.quantile_us(0.95);
   s.queue_depth = queue_depth;
   s.peak_queue_depth = peak_queue_depth;
+  s.stage_total = make_stage_snapshot(latency_);
   s.stage_queue_wait = make_stage_snapshot(queue_wait_);
   s.stage_batch_wait = make_stage_snapshot(batch_wait_);
   s.stage_exec = make_stage_snapshot(exec_);

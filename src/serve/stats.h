@@ -1,5 +1,5 @@
-// Serving statistics, extracted from the Server so every ModelSlot of the
-// multi-model Engine owns one ledger and EngineStats can aggregate them.
+// Serving statistics: every ModelSlot of the multi-model Engine owns one
+// ledger, and EngineStats aggregates them.
 //
 // StatsLedger is the single mutex-guarded accounting object of the serving
 // subsystem: the submit path records admission decisions, the batcher's
@@ -34,15 +34,10 @@ namespace nnlut::serve {
 /// last bucket everything above its lower edge). Allocation-free and O(1)
 /// to record. Not thread-safe on its own; StatsLedger guards it.
 ///
-/// Two quantile readings:
-///   - quantile_us(q): the UPPER BOUNDARY of the bucket containing the
-///     q-quantile — a conservative bound ("p95 < 1024 µs"), never an
-///     estimate below the true value. SlotStats::p50/p95_latency_us keep
-///     this historical semantics.
-///   - quantile(q): within-bucket LINEAR INTERPOLATION — assumes
-///     observations spread uniformly inside the bucket and returns a point
-///     estimate. The per-stage snapshots (queue-wait / batch-wait / exec /
-///     resolve) use this.
+/// Quantiles use within-bucket LINEAR INTERPOLATION (quantile(q)):
+/// observations are assumed uniform inside their bucket and the result is
+/// a point estimate. Every StageSnapshot — the end-to-end total and the
+/// four stages — reads its quantiles this way.
 class LatencyHistogram {
  public:
   static constexpr std::size_t kBuckets = 32;
@@ -51,9 +46,6 @@ class LatencyHistogram {
   std::uint64_t count() const { return total_; }
   /// Sum of recorded latencies (µs) — the Prometheus histogram `_sum`.
   std::uint64_t sum_us() const { return sum_us_; }
-  /// Upper boundary (µs) of the bucket holding quantile q in [0, 1]; 0 when
-  /// empty. See the class comment for the boundary-vs-interpolated split.
-  double quantile_us(double q) const;
   /// Point estimate (µs) at quantile q via within-bucket linear
   /// interpolation; 0 when empty.
   double quantile(double q) const;
@@ -90,9 +82,8 @@ struct StageLatency {
   std::chrono::microseconds total{0};
 };
 
-/// Summary of one stage histogram: count, interpolated p50/p95 and mean.
-/// Unlike SlotStats::p50/p95_latency_us (bucket upper boundaries), these
-/// quantiles use LatencyHistogram::quantile() interpolation.
+/// Summary of one stage histogram: count, interpolated p50/p95
+/// (LatencyHistogram::quantile) and mean.
 struct StageSnapshot {
   std::uint64_t count = 0;
   double p50_us = 0.0;
@@ -103,8 +94,7 @@ struct StageSnapshot {
 /// Build a StageSnapshot (interpolated quantiles + mean) from a histogram.
 StageSnapshot make_stage_snapshot(const LatencyHistogram& h);
 
-/// Snapshot of one model slot's serving counters since construction. The
-/// single-model Server exposes this as ServerStats.
+/// Snapshot of one model slot's serving counters since construction.
 struct SlotStats {
   std::uint64_t submitted = 0;  // accepted into the queue
   std::uint64_t rejected = 0;   // all refusals: validation+overload+shutdown
@@ -117,17 +107,12 @@ struct SlotStats {
   std::uint64_t batches = 0;    // model invocations
   double mean_batch_requests = 0.0;   // requests per model invocation
   double mean_batch_occupancy = 0.0;  // sequences per model invocation
-  // End-to-end submit->resolve quantiles. These are log2-bucket UPPER
-  // BOUNDARIES (LatencyHistogram::quantile_us), i.e. conservative bounds
-  // like "p95 < 1024 µs" — not interpolated point estimates. The stage
-  // snapshots below carry interpolated quantiles.
-  double p50_latency_us = 0.0;
-  double p95_latency_us = 0.0;
   std::size_t queue_depth = 0;  // requests queued at snapshot time
   std::size_t peak_queue_depth = 0;
 
-  // Per-stage latency decomposition (see StageLatency for stage meanings),
-  // with interpolated quantiles.
+  // End-to-end submit->resolve latency plus its per-stage decomposition
+  // (see StageLatency for stage meanings).
+  StageSnapshot stage_total;
   StageSnapshot stage_queue_wait;
   StageSnapshot stage_batch_wait;
   StageSnapshot stage_exec;
@@ -135,7 +120,7 @@ struct SlotStats {
 
   // Raw histogram copies for exposition (MetricsRegistry histogram
   // callbacks); hist_total is the end-to-end latency histogram behind
-  // p50/p95_latency_us.
+  // stage_total.
   LatencyHistogram hist_queue_wait;
   LatencyHistogram hist_batch_wait;
   LatencyHistogram hist_exec;
@@ -210,7 +195,8 @@ class StatsLedger {
 };
 
 /// Engine-wide view: per-model slot snapshots plus an aggregate in which
-/// counters sum and latency quantiles are the worst (max) across slots.
+/// counters sum and every latency snapshot is read from the slots'
+/// histograms merged bucket-wise.
 struct EngineStats {
   std::map<std::string, SlotStats> models;
   SlotStats total;

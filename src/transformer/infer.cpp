@@ -15,29 +15,39 @@ namespace nnlut::transformer {
 
 namespace {
 
-/// Project a tensor to the matmul operand precision, in place.
-void project(Tensor& t, MatmulMode mode) {
+/// Project a [rows, cols] tensor to the matmul operand precision, in place.
+/// kInt8 takes one symmetric scale per block of `group_rows` rows:
+/// activations pass the sequence length, so each sequence of a merged batch
+/// quantizes exactly as it would alone; weights pass their row count (one
+/// scale per tensor).
+void project(Tensor& t, MatmulMode mode, std::size_t group_rows) {
   switch (mode) {
     case MatmulMode::kFp32:
       return;
     case MatmulMode::kFp16:
       ibert::fake_quantize_fp16(t.flat());
       return;
-    case MatmulMode::kInt8:
-      ibert::fake_quantize(t.flat(), 8);
+    case MatmulMode::kInt8: {
+      assert(group_rows > 0 && t.dim(0) % group_rows == 0);
+      const std::span<float> all = t.flat();
+      const std::size_t group = group_rows * t.dim(1);
+      for (std::size_t off = 0; off < all.size(); off += group)
+        ibert::fake_quantize(all.subspan(off, group), 8);
       return;
+    }
   }
 }
 
 Tensor prepared_weight(const Tensor& w, MatmulMode mode) {
   Tensor copy = w;
-  project(copy, mode);
+  project(copy, mode, w.dim(0));
   return copy;
 }
 
 }  // namespace
 
 void InferenceModel::PreparedLinear::apply_into(const Tensor& x,
+                                                std::size_t seq,
                                                 MatmulMode mode, Workspace& ws,
                                                 Tensor& y) const {
   assert(y.rank() == 2 && y.dim(0) == x.dim(0) && y.dim(1) == w.dim(1));
@@ -45,7 +55,7 @@ void InferenceModel::PreparedLinear::apply_into(const Tensor& x,
   if (mode != MatmulMode::kFp32) {
     ws.prepare(ws.proj, {x.dim(0), x.dim(1)});
     std::memcpy(ws.proj.data(), x.data(), x.size() * sizeof(float));
-    project(ws.proj, mode);
+    project(ws.proj, mode, seq);
     operand = &ws.proj;
   }
   matmul(*operand, w, y);  // matmul zero-fills y before accumulating
@@ -179,15 +189,15 @@ const Tensor& InferenceModel::encode_into(const BatchInput& in,
     Tensor& x = ws.x;
 
     Tensor& q = ws.prepare(ws.q, {rows, hidden});
-    lw.wq.apply_into(x, mode_, ws, q);
+    lw.wq.apply_into(x, in.seq, mode_, ws, q);
     Tensor& k = ws.prepare(ws.k, {rows, hidden});
-    lw.wk.apply_into(x, mode_, ws, k);
+    lw.wk.apply_into(x, in.seq, mode_, ws, k);
     Tensor& v = ws.prepare(ws.v, {rows, hidden});
-    lw.wv.apply_into(x, mode_, ws, v);
+    lw.wv.apply_into(x, in.seq, mode_, ws, v);
     // Attention-score matmuls run at the same precision as the projections.
-    project(q, mode_);
-    project(k, mode_);
-    project(v, mode_);
+    project(q, mode_, in.seq);
+    project(k, mode_, in.seq);
+    project(v, mode_, in.seq);
 
     // Score every (batch, head, query) row first, then run softmax over ALL
     // attention rows of the layer in one backend call. Score rows are
@@ -235,19 +245,19 @@ const Tensor& InferenceModel::encode_into(const BatchInput& in,
         });
 
     Tensor& attn_out = ws.prepare(ws.attn_out, {rows, hidden});
-    lw.wo.apply_into(context, mode_, ws, attn_out);
+    lw.wo.apply_into(context, in.seq, mode_, ws, attn_out);
     add_inplace(attn_out, x);  // residual
     Tensor& x1 = ws.prepare(ws.x1, {rows, hidden});
     norm_rows(attn_out, x1, enc.layers[li].norm1, 2 * site);
 
     Tensor& hmid = ws.prepare(ws.hmid, {rows, lw.ff1.w.dim(1)});
-    lw.ff1.apply_into(x1, mode_, ws, hmid);
+    lw.ff1.apply_into(x1, in.seq, mode_, ws, hmid);
     // Activation over the whole [tokens x d_ff] tensor in one backend call;
     // the row-granular entry point keeps backends with grouped quantization
     // scales (I-BERT) independent of how requests were packed into the batch.
     nl_->activation_rows(hmid.flat(), hmid.dim(0), hmid.dim(1), site);
     Tensor& f = ws.prepare(ws.f, {rows, hidden});
-    lw.ff2.apply_into(hmid, mode_, ws, f);
+    lw.ff2.apply_into(hmid, in.seq, mode_, ws, f);
     add_inplace(f, x1);  // residual
     Tensor& x2 = ws.prepare(ws.x2, {rows, hidden});
     norm_rows(f, x2, enc.layers[li].norm2, 2 * site + 1);
@@ -280,7 +290,7 @@ Tensor InferenceModel::logits(const BatchInput& in, Workspace& ws) {
   const Tensor& hidden = encode_into(in, ws);
   if (model_->head() == HeadKind::kSpan) {
     Tensor out = Tensor::pooled({hidden.dim(0), head_.w.dim(1)}, ws.pool());
-    head_.apply_into(hidden, MatmulMode::kFp32, ws, out);
+    head_.apply_into(hidden, in.seq, MatmulMode::kFp32, ws, out);
     return out;
   }
   Tensor& cls = ws.prepare(ws.cls, {in.batch, model_->config().hidden});
@@ -290,7 +300,7 @@ Tensor InferenceModel::logits(const BatchInput& in, Workspace& ws) {
     for (std::size_t j = 0; j < dst.size(); ++j) dst[j] = src[j];
   }
   Tensor out = Tensor::pooled({in.batch, head_.w.dim(1)}, ws.pool());
-  head_.apply_into(cls, MatmulMode::kFp32, ws, out);
+  head_.apply_into(cls, 1, MatmulMode::kFp32, ws, out);
   return out;
 }
 

@@ -21,7 +21,8 @@ namespace nnlut::transformer {
 enum class MatmulMode {
   kFp32,  // reference
   kFp16,  // weights & every matmul operand/result rounded through binary16
-  kInt8,  // weights & matmul operands symmetric-fake-quantized to 8 bits
+  kInt8,  // weights & matmul operands symmetric-fake-quantized to 8 bits,
+          // one scale per weight tensor and per sequence of an activation
           // (accumulation in FP32 stands in for the INT32 accumulator;
           // see DESIGN.md substitution table)
 };
@@ -65,13 +66,15 @@ class InferenceModel {
   struct PreparedLinear {
     Tensor w;  // weight copy, projected to the matmul precision
     Tensor b;
-    /// y = project(x) * w + b at `mode`. `y` must be preshaped to
-    /// [x.rows, w.cols] (matmul's contract; it is overwritten). The operand
-    /// projection (a precision-rounded copy of x) stages in ws.proj; in
-    /// kFp32 mode x feeds the matmul directly and ws.proj is untouched, so
-    /// apply carries no allocations of its own.
-    void apply_into(const Tensor& x, MatmulMode mode, Workspace& ws,
-                    Tensor& y) const;
+    /// y = project(x) * w + b at `mode`, where x's rows come in sequences
+    /// of `seq` rows (kInt8 scales each sequence on its own, so a request's
+    /// logits do not depend on what else shares its batch). `y` must be
+    /// preshaped to [x.rows, w.cols] (matmul's contract; it is
+    /// overwritten). The operand projection (a precision-rounded copy of x)
+    /// stages in ws.proj; in kFp32 mode x feeds the matmul directly and
+    /// ws.proj is untouched, so apply carries no allocations of its own.
+    void apply_into(const Tensor& x, std::size_t seq, MatmulMode mode,
+                    Workspace& ws, Tensor& y) const;
   };
 
   /// Encoder stack with every intermediate in `ws`; the result is ws.x.

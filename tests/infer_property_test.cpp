@@ -122,6 +122,29 @@ TEST(PrecisionModes, Int8IsDeterministic) {
   for (std::size_t i = 0; i < la.size(); ++i) EXPECT_EQ(la[i], lb[i]);
 }
 
+TEST(PrecisionModes, MergedBatchLogitsMatchSoloBitwise) {
+  // Every matmul mode scales activations per sequence (kInt8 takes one
+  // quantization scale per sequence, not per batch), so a sequence's
+  // logits carry the same bits whether it runs alone or merged with others
+  // — the property the serving batcher relies on.
+  Rng rng(8);
+  TaskModel m(tiny(), HeadKind::kClassify, 2, rng);
+  ExactNonlinearities exact(m.config().act);
+  const BatchInput merged = random_batch(m.config(), 4, 8, rng);
+  for (MatmulMode mode :
+       {MatmulMode::kFp32, MatmulMode::kFp16, MatmulMode::kInt8}) {
+    InferenceModel infer(m, exact, mode);
+    const Tensor all = infer.logits(merged);
+    for (std::size_t b = 0; b < merged.batch; ++b) {
+      const Tensor solo = infer.logits(slice(merged, b, 1));
+      for (std::size_t j = 0; j < solo.dim(1); ++j)
+        EXPECT_EQ(solo.at(0, j), all.at(b, j))
+            << "mode " << static_cast<int>(mode) << " sequence " << b
+            << " logit " << j;
+    }
+  }
+}
+
 TEST(NoNormModels, HaveNoRsqrtCaptureSites) {
   Rng rng(8);
   ModelConfig cfg = tiny();

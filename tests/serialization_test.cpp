@@ -2,7 +2,9 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <iterator>
 #include <sstream>
+#include <string>
 
 #include "core/function_library.h"
 #include "core/serialization.h"
@@ -79,6 +81,34 @@ TEST(Serialization, RejectsWrongCounts) {
   std::stringstream ss;
   ss << "nnlut-lut v1\nentries 3\nbreakpoints 0x1p+0\n";  // needs 2
   EXPECT_THROW(read_lut(ss), std::runtime_error);
+}
+
+// Every value token must parse whole to a finite float; the error names
+// the offending key.
+TEST(Serialization, RejectsMalformedAndNonFiniteValues) {
+  const char* const bad_lines[] = {
+      "breakpoints abc 0x1p+0\nslopes 1 2 3\nintercepts 0 0 0\n",
+      "breakpoints 0 1\nslopes 1.5junk 2 3\nintercepts 0 0 0\n",
+      "breakpoints 0 1\nslopes 1 nan 3\nintercepts 0 0 0\n",
+      "breakpoints 0 1\nslopes 1 2 3\nintercepts 0 inf 0\n",
+      "breakpoints 0 1\nslopes 1 2 3\nintercepts 0 0 -inf\n",
+      "breakpoints 0 1\nslopes 1 2 3\nintercepts 0 0 1e39\n",
+  };
+  const char* const keys[] = {"breakpoints", "slopes", "slopes",
+                              "intercepts", "intercepts", "intercepts"};
+  for (std::size_t i = 0; i < std::size(bad_lines); ++i) {
+    std::stringstream ss(std::string("nnlut-lut v1\nentries 3\n") +
+                         bad_lines[i]);
+    try {
+      (void)read_lut(ss);
+      ADD_FAILURE() << "accepted: " << bad_lines[i];
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(keys[i]), std::string::npos)
+          << e.what();
+    }
+  }
+  std::stringstream net("nnlut-net v1\nhidden 1\nn 1\nb 2\nm 3\nc nan\n");
+  EXPECT_THROW(read_net(net), std::runtime_error);
 }
 
 TEST(Serialization, RejectsTruncatedInput) {

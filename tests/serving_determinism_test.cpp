@@ -1,5 +1,5 @@
-// Serving determinism: logits returned through the Server or the
-// multi-model Engine — with dynamic same-seq batching, one scheduler
+// Serving determinism: logits returned through the multi-model Engine —
+// one model or several, with dynamic same-seq batching, one scheduler
 // thread per model slot, and concurrent submission from >= 4 client
 // threads — must be BIT-identical to direct InferenceModel::logits calls,
 // for every backend (exact, LUT fp32/fp16/int32, I-BERT) and any number of
@@ -10,7 +10,7 @@
 // Also covers admission control under forced overload (every request
 // resolves as completed or ServerOverloaded; ledger reconciles exactly
 // after drain), per-request validation-error surfacing through a live
-// server, and serving stats sanity.
+// engine, and serving stats sanity.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -26,7 +26,6 @@
 #include "obs/trace.h"
 #include "runtime/thread_pool.h"
 #include "serve/engine.h"
-#include "serve/server.h"
 #include "transformer/infer.h"
 
 namespace nnlut::serve {
@@ -34,6 +33,18 @@ namespace {
 
 using namespace std::chrono_literals;
 using namespace nnlut::transformer;
+
+/// Slot name of the single-model tests (it shows in the scrape's labels).
+constexpr char kModel[] = "default";
+
+/// A single-model slot's batching knobs; every other SlotConfig field keeps
+/// its default.
+SlotConfig batching(std::size_t max_batch, std::chrono::microseconds max_wait) {
+  SlotConfig cfg;
+  cfg.max_batch = max_batch;
+  cfg.max_wait = max_wait;
+  return cfg;
+}
 
 ModelConfig tiny() {
   ModelConfig c = ModelConfig::roberta_like();
@@ -84,27 +95,25 @@ void expect_served_bits_match_direct(const TaskModel& model,
   }
 
   for (const bool use_pool : {true, false}) {
-    // Served: concurrent clients against a batching server.
+    // Served: concurrent clients against a batching engine.
     std::vector<Tensor> served(requests.size());
     {
-      ServeConfig cfg;
-      cfg.max_batch = 4;
-      cfg.max_wait = 3ms;
-      cfg.threads = 2;
+      Engine engine(EngineConfig{/*threads=*/2});
+      SlotConfig cfg = batching(4, 3ms);
       cfg.use_pool = use_pool;
-      Server server(model, nl, cfg);
+      engine.register_model(kModel, model, nl, cfg);
       std::vector<std::thread> threads;
       for (std::size_t c = 0; c < clients; ++c) {
         threads.emplace_back([&, c] {
           for (std::size_t i = c; i < requests.size(); i += clients) {
-            PendingResult r = server.submit(requests[i]);
+            PendingResult r = engine.submit(kModel, requests[i]);
             served[i] = r.get();  // disjoint slot per request: no locking
           }
         });
       }
       for (auto& t : threads) t.join();
 
-      const ServerStats stats = server.stats();
+      const SlotStats stats = engine.model_stats(kModel);
       EXPECT_EQ(stats.submitted, requests.size());
       EXPECT_EQ(stats.completed, requests.size());
       EXPECT_EQ(stats.rejected, 0u);
@@ -387,11 +396,8 @@ TEST(ServingValidation, MalformedRequestRejectsAloneUnderLoad) {
   TaskModel m(tiny(), HeadKind::kClassify, 2, rng);
   ExactNonlinearities nl(m.config().act);
 
-  ServeConfig cfg;
-  cfg.max_batch = 4;
-  cfg.max_wait = 2ms;
-  cfg.threads = 2;
-  Server server(m, nl, cfg);
+  Engine engine(EngineConfig{/*threads=*/2});
+  engine.register_model(kModel, m, nl, batching(4, 2ms));
 
   // Reference for the good requests.
   std::vector<BatchInput> good;
@@ -416,13 +422,13 @@ TEST(ServingValidation, MalformedRequestRejectsAloneUnderLoad) {
     clients.emplace_back([&, c] {
       // Interleave a malformed submission among this client's good ones.
       switch (c) {
-        case 0: bad_results[0] = server.submit(bad_token); break;
-        case 1: bad_results[1] = server.submit(bad_shape); break;
-        case 2: bad_results[2] = server.submit(bad_seq); break;
-        case 3: bad_results[3] = server.submit(empty); break;
+        case 0: bad_results[0] = engine.submit(kModel, bad_token); break;
+        case 1: bad_results[1] = engine.submit(kModel, bad_shape); break;
+        case 2: bad_results[2] = engine.submit(kModel, bad_seq); break;
+        case 3: bad_results[3] = engine.submit(kModel, empty); break;
       }
       for (std::size_t i = c; i < good.size(); i += 4)
-        served[i] = server.submit(good[i]).get();
+        served[i] = engine.submit(kModel, good[i]).get();
     });
   }
   for (auto& t : clients) t.join();
@@ -443,15 +449,15 @@ TEST(ServingValidation, MalformedRequestRejectsAloneUnderLoad) {
   EXPECT_THROW(bad_results[2].get(), std::out_of_range);
   EXPECT_THROW(bad_results[3].get(), std::invalid_argument);
 
-  const ServerStats stats = server.stats();
+  const SlotStats stats = engine.model_stats(kModel);
   EXPECT_EQ(stats.rejected, 4u);
   EXPECT_EQ(stats.completed, good.size());
   EXPECT_EQ(stats.failed, 0u);
   runtime::set_runtime_config({});
 }
 
-TEST(ServingDeterminism, TwoConcurrentServersStayBitIdentical) {
-  // Two Servers share the process-wide runtime pool; the pool admits one
+TEST(ServingDeterminism, TwoConcurrentEnginesStayBitIdentical) {
+  // Two Engines share the process-wide runtime pool; the pool admits one
   // orchestrator at a time and the other inlines, so results from both
   // must still match direct execution bit-for-bit.
   Rng rng(37);
@@ -467,20 +473,18 @@ TEST(ServingDeterminism, TwoConcurrentServersStayBitIdentical) {
     for (const BatchInput& in : requests) direct.push_back(infer.logits(in));
   }
 
-  ServeConfig cfg;
-  cfg.max_batch = 4;
-  cfg.max_wait = 2ms;
-  cfg.threads = 2;
-  Server a(m, nl, cfg);
-  Server b(m, nl, cfg);
+  Engine a(EngineConfig{/*threads=*/2});
+  Engine b(EngineConfig{/*threads=*/2});
+  a.register_model(kModel, m, nl, batching(4, 2ms));
+  b.register_model(kModel, m, nl, batching(4, 2ms));
   std::vector<Tensor> from_a(requests.size()), from_b(requests.size());
   std::thread ta([&] {
     for (std::size_t i = 0; i < requests.size(); ++i)
-      from_a[i] = a.submit(requests[i]).get();
+      from_a[i] = a.submit(kModel, requests[i]).get();
   });
   std::thread tb([&] {
     for (std::size_t i = 0; i < requests.size(); ++i)
-      from_b[i] = b.submit(requests[i]).get();
+      from_b[i] = b.submit(kModel, requests[i]).get();
   });
   ta.join();
   tb.join();
@@ -495,7 +499,7 @@ TEST(ServingDeterminism, TwoConcurrentServersStayBitIdentical) {
 
 TEST(ServingDeterminism, WidestSimdTierServedBitsMatchScalarDirect) {
   // ISA-invariance through the whole serving stack: requests served under
-  // the widest SIMD tier this CPU has (pinned via ServeConfig::simd) must
+  // the widest SIMD tier this CPU has (pinned via EngineConfig::simd) must
   // be bit-identical to direct execution with the kernels forced scalar —
   // for the LUT backends whose plans actually dispatch (FP32 and INT32).
   Rng rng(41);
@@ -516,20 +520,16 @@ TEST(ServingDeterminism, WidestSimdTierServedBitsMatchScalarDirect) {
         direct.push_back(infer.logits(in));
     }
 
-    ServeConfig cfg;
-    cfg.max_batch = 4;
-    cfg.max_wait = 2ms;
-    cfg.threads = 2;
-    cfg.simd = simd::detected_simd_tier();
     std::vector<Tensor> served(requests.size());
     {
-      Server server(m, *nl, cfg);
+      Engine engine(EngineConfig{/*threads=*/2, simd::detected_simd_tier()});
+      engine.register_model(kModel, m, *nl, batching(4, 2ms));
       EXPECT_EQ(simd::active_simd_tier(), simd::detected_simd_tier());
       std::vector<std::thread> clients;
       for (std::size_t c = 0; c < 3; ++c) {
         clients.emplace_back([&, c] {
           for (std::size_t i = c; i < requests.size(); i += 3)
-            served[i] = server.submit(requests[i]).get();
+            served[i] = engine.submit(kModel, requests[i]).get();
         });
       }
       for (auto& t : clients) t.join();
@@ -551,26 +551,24 @@ TEST(ServingStats, CancelledAndRejectedReconcileWithSubmitted) {
   TaskModel m(tiny(), HeadKind::kClassify, 2, rng);
   ExactNonlinearities nl(m.config().act);
 
-  ServeConfig cfg;
-  cfg.max_batch = 64;       // never reached ...
-  cfg.max_wait = 10min;     // ... and never aged out: requests sit queued
-  cfg.threads = 1;
-  Server server(m, nl, cfg);
+  Engine engine(EngineConfig{/*threads=*/1});
+  // max_batch never reached and max_wait never aged out: requests sit queued.
+  engine.register_model(kModel, m, nl, batching(64, 10min));
 
-  PendingResult r1 = server.submit(random_request(m.config(), 1, 8, rng));
-  PendingResult r2 = server.submit(random_request(m.config(), 1, 8, rng));
-  PendingResult r3 = server.submit(random_request(m.config(), 1, 8, rng));
+  PendingResult r1 = engine.submit(kModel, random_request(m.config(), 1, 8, rng));
+  PendingResult r2 = engine.submit(kModel, random_request(m.config(), 1, 8, rng));
+  PendingResult r3 = engine.submit(kModel, random_request(m.config(), 1, 8, rng));
   EXPECT_TRUE(r2.cancel());  // still queued: nothing flushes before shutdown
-  server.shutdown();         // drains r1/r3, skips the cancelled r2
+  engine.shutdown();         // drains r1/r3, skips the cancelled r2
 
   EXPECT_NO_THROW(r1.get());
   EXPECT_NO_THROW(r3.get());
   EXPECT_THROW(r2.get(), RequestCancelled);
 
-  PendingResult late = server.submit(random_request(m.config(), 1, 8, rng));
+  PendingResult late = engine.submit(kModel, random_request(m.config(), 1, 8, rng));
   EXPECT_THROW(late.get(), RequestCancelled);
 
-  const ServerStats stats = server.stats();
+  const SlotStats stats = engine.model_stats(kModel);
   EXPECT_EQ(stats.submitted, 3u);
   EXPECT_EQ(stats.completed, 2u);
   EXPECT_EQ(stats.cancelled, 1u);
@@ -580,15 +578,50 @@ TEST(ServingStats, CancelledAndRejectedReconcileWithSubmitted) {
   runtime::set_runtime_config({});
 }
 
+TEST(ServingStats, TotalLatencyReadsMergedHistograms) {
+  // Two slots with different latencies: "fast" runs every request alone at
+  // once, "slow" holds each one in an under-full bucket until max_wait. The
+  // aggregate's end-to-end snapshot must be read from the two slots'
+  // end-to-end histograms merged bucket-wise, like the stage snapshots.
+  Rng rng(39);
+  TaskModel m(tiny(), HeadKind::kClassify, 2, rng);
+  ExactNonlinearities nl(m.config().act);
+  Engine engine(EngineConfig{/*threads=*/1});
+  engine.register_model("fast", m, nl, batching(1, 2ms));
+  engine.register_model("slow", m, nl, batching(64, 20ms));
+  for (int i = 0; i < 8; ++i) {
+    const BatchInput in = random_request(m.config(), 1, 8, rng);
+    EXPECT_NO_THROW(engine.submit("fast", in).get());
+    EXPECT_NO_THROW(engine.submit("slow", in).get());
+  }
+  engine.shutdown();
+
+  const EngineStats stats = engine.stats();
+  const SlotStats& fast = stats.models.at("fast");
+  const SlotStats& slow = stats.models.at("slow");
+  ASSERT_LT(fast.stage_total.p50_us, slow.stage_total.p50_us);
+  LatencyHistogram merged = fast.hist_total;
+  merged.merge(slow.hist_total);
+  const StageSnapshot& total = stats.total.stage_total;
+  EXPECT_EQ(total.count, 16u);
+  EXPECT_EQ(total.p50_us, merged.quantile(0.50));
+  EXPECT_EQ(total.p95_us, merged.quantile(0.95));
+  EXPECT_EQ(total.mean_us, make_stage_snapshot(merged).mean_us);
+  // Each slot's own snapshot reads its own histogram the same way.
+  EXPECT_EQ(fast.stage_total.p95_us, fast.hist_total.quantile(0.95));
+  EXPECT_EQ(slow.stage_total.p95_us, slow.hist_total.quantile(0.95));
+  runtime::set_runtime_config({});
+}
+
 // ------------------------------------------------------- memory path ---
 
 /// One client serving `requests` sequentially: each result tensor is
 /// destroyed before the next submit, so the number of slabs simultaneously
 /// outstanding is deterministic and a warmed pool can serve every
 /// acquisition from its free lists.
-void serve_sequentially(Server& server, const std::vector<BatchInput>& requests) {
+void serve_sequentially(Engine& engine, const std::vector<BatchInput>& requests) {
   for (const BatchInput& in : requests) {
-    Tensor logits = server.submit(in).get();
+    Tensor logits = engine.submit(kModel, in).get();
     ASSERT_GT(logits.size(), 0u);
   }
 }
@@ -602,22 +635,19 @@ TEST(ServingMemoryPath, WarmWindowServesWithoutPoolAllocs) {
   ExactNonlinearities nl(m.config().act);
   const std::vector<BatchInput> requests = request_mix(m.config(), rng);
 
-  ServeConfig cfg;
-  cfg.max_batch = 4;
-  cfg.max_wait = 1ms;
-  cfg.threads = 2;
-  Server server(m, nl, cfg);
+  Engine engine(EngineConfig{/*threads=*/2});
+  engine.register_model(kModel, m, nl, batching(4, 1ms));
 
   // Warm: every size class the mix touches gets allocated and free-listed.
-  serve_sequentially(server, requests);
-  serve_sequentially(server, requests);
-  const ServerStats warm = server.stats();
+  serve_sequentially(engine, requests);
+  serve_sequentially(engine, requests);
+  const SlotStats warm = engine.model_stats(kModel);
   EXPECT_GT(warm.pool_alloc_count, 0u);
 
   // Measured window: repeats of the same mix must be pure reuse.
-  serve_sequentially(server, requests);
-  serve_sequentially(server, requests);
-  const ServerStats done = server.stats();
+  serve_sequentially(engine, requests);
+  serve_sequentially(engine, requests);
+  const SlotStats done = engine.model_stats(kModel);
 
   EXPECT_EQ(done.pool_alloc_count, warm.pool_alloc_count)
       << "warmed window performed pool heap allocations";
@@ -636,18 +666,15 @@ TEST(ServingMemoryPath, OutstandingStableAfterDrain) {
   ExactNonlinearities nl(m.config().act);
   const std::vector<BatchInput> requests = request_mix(m.config(), rng);
 
-  ServeConfig cfg;
-  cfg.max_batch = 4;
-  cfg.max_wait = 1ms;
-  cfg.threads = 2;
-  Server server(m, nl, cfg);
+  Engine engine(EngineConfig{/*threads=*/2});
+  engine.register_model(kModel, m, nl, batching(4, 1ms));
 
-  serve_sequentially(server, requests);
-  const ServerStats s1 = server.stats();
-  serve_sequentially(server, requests);
-  const ServerStats s2 = server.stats();
-  serve_sequentially(server, requests);
-  const ServerStats s3 = server.stats();
+  serve_sequentially(engine, requests);
+  const SlotStats s1 = engine.model_stats(kModel);
+  serve_sequentially(engine, requests);
+  const SlotStats s2 = engine.model_stats(kModel);
+  serve_sequentially(engine, requests);
+  const SlotStats s3 = engine.model_stats(kModel);
 
   EXPECT_GT(s1.pool_outstanding, 0u);  // the workspace holds its slots
   EXPECT_EQ(s2.pool_outstanding, s1.pool_outstanding);
@@ -675,19 +702,16 @@ TEST(ServingObservability, TracingOnLogitsBitIdenticalToTracingOff) {
     std::vector<Tensor> out(requests.size());
     std::string scrape;
     {
-      ServeConfig cfg;
-      cfg.max_batch = 4;
-      cfg.max_wait = 3ms;
-      cfg.threads = 2;
-      Server server(m, nl, cfg);
+      Engine engine(EngineConfig{/*threads=*/2});
+      engine.register_model(kModel, m, nl, batching(4, 3ms));
       std::vector<std::thread> threads;
       for (std::size_t c = 0; c < 4; ++c)
         threads.emplace_back([&, c] {
           for (std::size_t i = c; i < requests.size(); i += 4)
-            out[i] = server.submit(requests[i]).get();
+            out[i] = engine.submit(kModel, requests[i]).get();
         });
       for (auto& t : threads) t.join();
-      scrape = server.scrape();
+      scrape = engine.scrape();
     }
     runtime::set_runtime_config({});
     if (tracing) {
@@ -721,11 +745,12 @@ TEST(ServingShutdown, SubmitAfterShutdownRejects) {
   Rng rng(36);
   TaskModel m(tiny(), HeadKind::kClassify, 2, rng);
   ExactNonlinearities nl(m.config().act);
-  Server server(m, nl, {/*max_batch=*/4, /*max_wait=*/1ms, /*threads=*/1});
-  PendingResult before = server.submit(random_request(m.config(), 1, 8, rng));
-  server.shutdown();
+  Engine engine(EngineConfig{/*threads=*/1});
+  engine.register_model(kModel, m, nl, batching(4, 1ms));
+  PendingResult before = engine.submit(kModel, random_request(m.config(), 1, 8, rng));
+  engine.shutdown();
   EXPECT_NO_THROW(before.get());  // drained before stop
-  PendingResult after = server.submit(random_request(m.config(), 1, 8, rng));
+  PendingResult after = engine.submit(kModel, random_request(m.config(), 1, 8, rng));
   EXPECT_THROW(after.get(), RequestCancelled);
   runtime::set_runtime_config({});
 }
