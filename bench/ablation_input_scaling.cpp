@@ -45,8 +45,8 @@ int main() {
     std::vector<float> x(256), exact(256), yr(256), ys(256);
     for (float& v : x) v = rng.uniform(-scale, scale);
     layer_norm_exact(x, exact, {}, {});
-    raw(x, yr, {}, {});
-    scaled(x, ys, {}, {});
+    raw.rows(x, yr, 1, x.size(), {}, {});
+    scaled.rows(x, ys, 1, x.size(), {}, {});
     std::printf("  %16.2f | %22.5f | %8.5f\n", scale,
                 mean_abs_error(yr, exact), mean_abs_error(ys, exact));
   }

@@ -65,8 +65,8 @@ OpSeries bench_softmax(const FittedLut& exp_fit, const FittedLut& div_fit) {
     for (float& v : row) v = rng.uniform(-6.0f, 6.0f);
     std::vector<float> exact = row, a = row, b = row;
     softmax_exact(exact);
-    sm_nn(a);
-    sm_li(b);
+    sm_nn.rows(a, 1, a.size());
+    sm_li.rows(b, 1, b.size());
     for (std::size_t i = 0; i < row.size(); ++i, ++n) {
       s.nnlut_l1 += std::abs(a[i] - exact[i]);
       s.linear_l1 += std::abs(b[i] - exact[i]);
@@ -99,8 +99,8 @@ OpSeries bench_layernorm(const FittedLut& rsqrt_fit) {
     std::vector<float> x(128), exact(128), a(128), b(128);
     for (float& v : x) v = rng.uniform(-scale, scale);
     layer_norm_exact(x, exact, {}, {});
-    ln_nn(x, a, {}, {});
-    ln_li(x, b, {}, {});
+    ln_nn.rows(x, a, 1, x.size(), {}, {});
+    ln_li.rows(x, b, 1, x.size(), {}, {});
     for (std::size_t i = 0; i < x.size(); ++i, ++n) {
       s.nnlut_l1 += std::abs(a[i] - exact[i]);
       s.linear_l1 += std::abs(b[i] - exact[i]);

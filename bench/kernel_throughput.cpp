@@ -95,7 +95,7 @@ void BM_GeluIbert(benchmark::State& state) {
   std::vector<float> buf = xs;
   for (auto _ : state) {
     buf = xs;
-    ibert::gelu_row(buf);
+    ibert::gelu_rows(buf, 1, buf.size());
     benchmark::DoNotOptimize(buf.data());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<long>(xs.size()));
@@ -121,7 +121,7 @@ void BM_SoftmaxNnlut(benchmark::State& state) {
   std::vector<float> buf = xs;
   for (auto _ : state) {
     buf = xs;
-    sm(buf);
+    sm.rows(buf, 1, buf.size());
     benchmark::DoNotOptimize(buf.data());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -157,7 +157,7 @@ void BM_LayerNormNnlut(benchmark::State& state) {
   const LayerNormApprox ln(rs);
   std::vector<float> out(xs.size());
   for (auto _ : state) {
-    ln(xs, out, {}, {});
+    ln.rows(xs, out, 1, xs.size(), {}, {});
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * 768);

@@ -23,7 +23,7 @@
 // runtime-selected SIMD tier (core/lut_kernel_simd.h): scalar, AVX2 (with
 // F16C for the FP16 rounding chain when the CPU has it), AVX-512, or
 // AVX-512+VNNI, chosen once from CPUID and overridable via
-// NNLUT_FORCE_SCALAR / NNLUT_SIMD_TIER / set_simd_tier. Every tier performs
+// NNLUT_SIMD_TIER / set_simd_tier. Every tier performs
 // the identical IEEE operation sequence, so results are bit-identical
 // across tiers; plan arrays are allocated on 64-byte boundaries
 // (core/aligned_alloc.h) so a padded comparator bank is loaded with aligned

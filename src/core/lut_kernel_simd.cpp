@@ -174,11 +174,7 @@ SimdTier detected_simd_tier() {
   return tier;
 }
 
-SimdTier env_capped_tier(const char* force_scalar, const char* tier_name,
-                         SimdTier detected) {
-  if (force_scalar != nullptr && *force_scalar != '\0' &&
-      std::string_view(force_scalar) != "0")
-    return SimdTier::kScalar;
+SimdTier env_capped_tier(const char* tier_name, SimdTier detected) {
   if (tier_name != nullptr) {
     if (const auto cap = parse_simd_tier(tier_name))
       return std::min(*cap, detected);
@@ -193,15 +189,13 @@ SimdTier auto_simd_tier() {
   // here — dispatch must not change behind a running server's back because
   // the wall clock crossed a getenv call.
   static const SimdTier tier = [] {
-    const char* force_scalar = std::getenv("NNLUT_FORCE_SCALAR");
     const char* tier_name = std::getenv("NNLUT_SIMD_TIER");
     const SimdTier detected = detected_simd_tier();
-    const SimdTier capped =
-        env_capped_tier(force_scalar, tier_name, detected);
+    const SimdTier capped = env_capped_tier(tier_name, detected);
     // The cap itself stays pure and silent (env_capped_tier is unit-tested
     // as a function); the once-per-process resolution is where a surprising
     // request gets a diagnostic naming what this machine can actually run.
-    if (tier_name != nullptr && capped != SimdTier::kScalar) {
+    if (tier_name != nullptr) {
       const auto requested = parse_simd_tier(tier_name);
       if (!requested) {
         std::fprintf(stderr,

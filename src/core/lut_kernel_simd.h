@@ -12,10 +12,9 @@
 //     (__builtin_cpu_supports) — scalar < AVX2 < AVX-512F < AVX-512F+VNNI —
 //     and installed behind an atomic pointer that LutKernel::eval reads per
 //     call;
-//   - `NNLUT_FORCE_SCALAR` (any value except "" / "0") caps the automatic
-//     choice at scalar; `NNLUT_SIMD_TIER=scalar|avx2|avx512|avx512vnni`
-//     caps it at a named tier. Both only *lower* the tier — they can never
-//     select an ISA the CPU does not have;
+//   - `NNLUT_SIMD_TIER=scalar|avx2|avx512|avx512vnni` caps the automatic
+//     choice at a named tier (`scalar` is the kill switch). It only
+//     *lowers* the tier — it can never select an ISA the CPU does not have;
 //   - `set_simd_tier` is the programmatic override (tests, RuntimeConfig):
 //     forcing a tier above the detected one throws (the message names the
 //     available set), `std::nullopt` restores the automatic choice.
@@ -82,7 +81,7 @@ SimdTier detected_simd_tier();
 std::vector<SimdTier> available_simd_tiers();
 
 /// The tier automatic dispatch resolves to: detected, capped by the
-/// NNLUT_FORCE_SCALAR / NNLUT_SIMD_TIER environment (read once).
+/// NNLUT_SIMD_TIER environment variable (read once).
 SimdTier auto_simd_tier();
 
 /// Tier of the currently installed kernel table.
@@ -104,10 +103,9 @@ bool has_f16c();
 bool has_avx512vnni();
 
 /// Pure form of the environment policy, exposed for tests: the tier cap
-/// implied by (NNLUT_FORCE_SCALAR, NNLUT_SIMD_TIER) values, clamped to
-/// `detected`. nullptr means the variable is unset.
-SimdTier env_capped_tier(const char* force_scalar, const char* tier_name,
-                         SimdTier detected);
+/// implied by an NNLUT_SIMD_TIER value, clamped to `detected`. nullptr
+/// means the variable is unset; an unknown name leaves `detected`.
+SimdTier env_capped_tier(const char* tier_name, SimdTier detected);
 
 /// One per-tier kernel table. Every entry point evaluates a whole span in
 /// place through a compiled plan; `nb` is the padded breakpoint count

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <vector>
 
 #include "runtime/thread_pool.h"
@@ -9,6 +10,9 @@
 namespace nnlut {
 
 namespace {
+
+constexpr float kScale = 1024.0f;  // LayerNorm input-scaling factor S = 2^10
+constexpr float kEps = 1e-5f;      // LayerNorm variance epsilon
 
 /// Exact mean and variance of one row (the MAC-array work), accumulated in
 /// double exactly like the reference implementation.
@@ -49,27 +53,10 @@ thread_local std::vector<unsigned char> t_ln_scaled;
 
 }  // namespace
 
-void SoftmaxApprox::operator()(std::span<float> row) const {
-  if (row.empty()) return;
-  const float mx = *std::max_element(row.begin(), row.end());
-  for (float& v : row) v = std::clamp(v - mx, exp_clip_.lo, exp_clip_.hi);
-  exp_fn_->eval_inplace(row);
-  float sum = 0.0f;
-  for (float v : row) sum += v;
-  // The normalizer lies in [1, row_size] because the max element maps to
-  // exp(0) = 1; Table 1 trains the Divide LUT on (1, 1024) for exactly this.
-  const float inv = recip_fn_->eval(sum);
-  for (float& v : row) v *= inv;
-}
-
 void SoftmaxApprox::rows(std::span<float> data, std::size_t nrows,
                          std::size_t ncols) const {
   assert(data.size() == nrows * ncols);
   if (nrows == 0 || ncols == 0) return;
-  if (nrows == 1) {
-    (*this)(data);
-    return;
-  }
   // Rows are independent: shard row blocks across the pool, each block
   // running the batched three-pass kernel over its sub-span.
   runtime::parallel_for(0, nrows, runtime::grain_for(3 * ncols),
@@ -85,7 +72,7 @@ void SoftmaxApprox::rows_block(float* data, std::size_t nrows,
     float mx = row[0];
     for (std::size_t j = 1; j < ncols; ++j) mx = std::max(mx, row[j]);
     for (std::size_t j = 0; j < ncols; ++j)
-      row[j] = std::clamp(row[j] - mx, exp_clip_.lo, exp_clip_.hi);
+      row[j] = std::clamp(row[j] - mx, kExpRange.lo, kExpRange.hi);
   }
   // One EXP LUT pass over every shifted logit of every row in the block.
   exp_fn_->eval_inplace(std::span<float>(data, nrows * ncols));
@@ -97,7 +84,9 @@ void SoftmaxApprox::rows_block(float* data, std::size_t nrows,
     for (std::size_t j = 0; j < ncols; ++j) sum += row[j];
     inv[r] = sum;
   }
-  // One Divide LUT pass over all the block's row normalizers.
+  // One Divide LUT pass over all the block's row normalizers. Each lies in
+  // [1, ncols] because the row max maps to exp(0) = 1; Table 1 trains the
+  // Divide LUT on (1, 1024) for exactly this.
   recip_fn_->eval_inplace(inv);
   for (std::size_t r = 0; r < nrows; ++r) {
     float* row = data + r * ncols;
@@ -110,22 +99,9 @@ float LayerNormApprox::inv_std(float v) const {
     // v*S stays within the trained range (0.1, 1024) for v > S^-1; smaller
     // variances saturate at the LUT boundary, which is the intended
     // behaviour of the power-of-two pre-scaler.
-    return rsqrt_fn_->eval(v * opt_.scale) * std::sqrt(opt_.scale);
+    return rsqrt_fn_->eval(v * kScale) * std::sqrt(kScale);
   }
   return rsqrt_fn_->eval(v);
-}
-
-void LayerNormApprox::operator()(std::span<const float> x, std::span<float> y,
-                                 std::span<const float> gamma,
-                                 std::span<const float> beta) const {
-  assert(x.size() == y.size());
-  const std::size_t n = x.size();
-  if (n == 0) return;
-
-  float mean = 0.0f, var = 0.0f;
-  row_moments(x.data(), n, mean, var);
-  const float inv = inv_std(var + opt_.eps);
-  affine_row(x.data(), y.data(), n, mean, inv, gamma, beta);
 }
 
 void LayerNormApprox::rows(std::span<const float> x, std::span<float> y,
@@ -160,15 +136,15 @@ void LayerNormApprox::rows_block(const float* x, float* y, std::size_t nrows,
     float m = 0.0f, v = 0.0f;
     row_moments(x + r * ncols, ncols, m, v);
     mean[r] = m;
-    vs[r] = v + opt_.eps;
+    vs[r] = v + kEps;
     if (opt_.input_scaling && vs[r] < 1.0f) {
-      vs[r] = vs[r] * opt_.scale;
+      vs[r] = vs[r] * kScale;
       scaled[r] = 1;
     }
   }
   // One 1/SQRT LUT pass over every (pre-scaled) row variance.
   rsqrt_fn_->eval_inplace(vs);
-  const float root_s = std::sqrt(opt_.scale);
+  const float root_s = std::sqrt(kScale);
   for (std::size_t r = 0; r < nrows; ++r) {
     const float inv = scaled[r] ? vs[r] * root_s : vs[r];
     affine_row(x + r * ncols, y + r * ncols, ncols, mean[r], inv, gamma, beta);

@@ -6,15 +6,16 @@
 //   LayerNorm -> exact mean/variance (MAC-array work) plus a 1/SQRT LUT with
 //                power-of-two input scaling for small variances (Sec. 3.3.2)
 //
-// All three ops are batch-granular: single-row entry points feed one span
-// through the backend's batched primitive, and the rows() entry points
-// evaluate a whole [rows x cols] block with one backend call per LUT (all
-// shifted logits through the EXP LUT at once, all row normalizers through
-// the Divide LUT at once, all row variances through the 1/SQRT LUT at once).
+// GELU needs no wrapper: it is elementwise, so callers run the GELU
+// ScalarFn's eval_inplace over the whole tensor. Softmax and LayerNorm are
+// row ops with one entry point each, rows(), which evaluates a whole
+// [rows x cols] block with one backend call per LUT (all shifted logits
+// through the EXP LUT at once, all row normalizers through the Divide LUT at
+// once, all row variances through the 1/SQRT LUT at once). A single row is
+// rows(x, 1, n).
 #pragma once
 
-#include <cmath>
-#include <optional>
+#include <cstddef>
 #include <span>
 
 #include "core/scalar_fn.h"
@@ -22,32 +23,17 @@
 
 namespace nnlut {
 
-/// Element-wise GELU replacement.
-class GeluApprox {
- public:
-  explicit GeluApprox(const ScalarFn& fn) : fn_(&fn) {}
-  void operator()(std::span<float> row) const { fn_->eval_inplace(row); }
-  float eval(float x) const { return fn_->eval(x); }
-
- private:
-  const ScalarFn* fn_;
-};
-
 /// Softmax replacement: y_i = explut(x_i - max) * reciplut(sum_j explut(...)).
 ///
-/// Inputs to the EXP LUT are clipped to `exp_clip` (default: the Table-1
-/// training range). The paper's hardware assumes inputs pre-scaled to the
-/// unit's covered range (Sec. 5.1); exp(-256) underflows FP32 anyway, so the
-/// clip changes nothing mathematically but keeps linear extrapolation of the
+/// Inputs to the EXP LUT are clipped to kExpRange, the Table-1 training
+/// range. The paper's hardware assumes inputs pre-scaled to the unit's
+/// covered range (Sec. 5.1); exp(-256) underflows FP32 anyway, so the clip
+/// changes nothing mathematically but keeps linear extrapolation of the
 /// leftmost segment from injecting garbage for extreme logits.
 class SoftmaxApprox {
  public:
-  SoftmaxApprox(const ScalarFn& exp_fn, const ScalarFn& recip_fn,
-                InputRange exp_clip = kExpRange)
-      : exp_fn_(&exp_fn), recip_fn_(&recip_fn), exp_clip_(exp_clip) {}
-
-  /// One row, in place.
-  void operator()(std::span<float> row) const;
+  SoftmaxApprox(const ScalarFn& exp_fn, const ScalarFn& recip_fn)
+      : exp_fn_(&exp_fn), recip_fn_(&recip_fn) {}
 
   /// `nrows` contiguous rows of length `ncols`, in place. Row blocks are
   /// sharded across the runtime thread pool (rows are independent, so the
@@ -61,7 +47,6 @@ class SoftmaxApprox {
 
   const ScalarFn* exp_fn_;
   const ScalarFn* recip_fn_;
-  InputRange exp_clip_;
 };
 
 /// LayerNorm replacement. Mean/variance stay exact (they are dot products the
@@ -70,13 +55,11 @@ class SoftmaxApprox {
 /// Input scaling (Sec. 3.3.2): the LUT is trained on (0.1, 1024). When the
 /// variance v < 1, evaluate lut(v * S) * sqrt(S) with S = 2^10 so the LUT
 /// only ever sees its well-trained monotonous range; S power-of-two makes
-/// the scaling a bit-shift in hardware.
+/// the scaling a bit-shift in hardware. eps = 1e-5.
 class LayerNormApprox {
  public:
   struct Options {
     bool input_scaling = true;
-    float scale = 1024.0f;  // S = 2^10
-    float eps = 1e-5f;
     // Disable when the rsqrt ScalarFn is stateful (e.g. a CapturingFn whose
     // sink must see rows in order from one thread): rows() then runs the
     // whole block on the calling thread instead of sharding it.
@@ -87,10 +70,6 @@ class LayerNormApprox {
       : rsqrt_fn_(&rsqrt_fn), opt_() {}
   LayerNormApprox(const ScalarFn& rsqrt_fn, Options opt)
       : rsqrt_fn_(&rsqrt_fn), opt_(opt) {}
-
-  void operator()(std::span<const float> x, std::span<float> y,
-                  std::span<const float> gamma,
-                  std::span<const float> beta) const;
 
   /// `nrows` contiguous rows of length `ncols`, sharded row-blockwise across
   /// the runtime thread pool (bit-identical for any pool size): each block

@@ -1,5 +1,6 @@
 #include "core/serialization.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -8,6 +9,7 @@
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <system_error>
 #include <vector>
 
 namespace nnlut {
@@ -58,15 +60,23 @@ std::vector<float> read_floats(std::istream& is, const char* key,
 std::size_t read_count(std::istream& is, const char* key) {
   std::string line;
   if (!std::getline(is, line))
-    throw std::runtime_error("serialization: truncated input");
-  std::istringstream ls(line);
-  std::string got_key;
-  long long n = -1;
-  ls >> got_key >> n;
-  if (got_key != key || n < 0)
+    throw std::runtime_error(std::string("serialization: missing line for ") +
+                             key);
+  // Strict: exactly "<key> <decimal>", the count fitting std::size_t
+  // (`>>` would read "5junk" as 5 and drop a second number).
+  const std::string prefix = std::string(key) + ' ';
+  std::size_t n = 0;
+  bool ok = line.compare(0, prefix.size(), prefix) == 0;
+  if (ok) {
+    const char* const last = line.data() + line.size();
+    const auto [end, ec] =
+        std::from_chars(line.data() + prefix.size(), last, n);
+    ok = ec == std::errc() && end == last;
+  }
+  if (!ok)
     throw std::runtime_error("serialization: bad count line for '" +
                              std::string(key) + "'");
-  return static_cast<std::size_t>(n);
+  return n;
 }
 
 void expect_header(std::istream& is, const std::string& magic) {

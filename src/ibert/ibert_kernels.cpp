@@ -227,22 +227,6 @@ void softmax_rows(std::span<float> data, std::size_t nrows, std::size_t ncols,
                         });
 }
 
-void gelu_row(std::span<float> row, int input_bits) {
-  if (row.empty()) return;
-  // The whole span shares one scale (computed serially so the result does
-  // not depend on the pool size); the elementwise integer GELU map shards.
-  const float s = row_scale(row, input_bits);
-  const float budget = grid_budget(input_bits);
-  runtime::parallel_for(0, row.size(), runtime::grain_for(16),
-                        [&](std::size_t i0, std::size_t i1) {
-                          for (std::size_t i = i0; i < i1; ++i) {
-                            const QValue out =
-                                i_gelu({quantize(row[i], s, budget), s});
-                            row[i] = out.value();
-                          }
-                        });
-}
-
 void gelu_rows(std::span<float> data, std::size_t nrows, std::size_t ncols,
                int input_bits) {
   if (nrows == 0 || ncols == 0) return;

@@ -19,10 +19,13 @@
 // suite).
 //
 // Backpressure composes with PR 5 admission control in two layers:
-//   - shed-before-parse: when Engine::overloaded(model) says the slot's
-//     bounded queue is at depth, the reader classifies the submit frame by
-//     its model-id prefix alone and answers kOverloaded without ever
-//     deserializing tokens, validating, or taking the queue mutex.
+//   - shed-before-parse: when Engine::overloaded(model) says the slot
+//     would refuse a new request (a kRejectNew slot whose bounded queue is
+//     at depth), the reader classifies the submit frame by its model-id
+//     prefix alone and answers kOverloaded without ever deserializing
+//     tokens, validating, or taking the queue mutex. A full kRejectOldest
+//     slot is not shed here: the submit goes through and the queue evicts
+//     its oldest request instead.
 //   - bounded write queues: a connection may buffer at most
 //     max_write_queue_bytes of undelivered responses; a slow reader that
 //     lets the bound overflow is evicted (queue cleared, socket shut down)

@@ -303,7 +303,8 @@ bool Engine::overloaded(std::string_view model_id) const {
   ModelSlot* slot = find_slot(model_id);
   if (slot == nullptr) return false;
   const AdmissionConfig& adm = slot->queue.admission();
-  return adm.max_queue_depth > 0 &&
+  return adm.shed_policy == ShedPolicy::kRejectNew &&
+         adm.max_queue_depth > 0 &&
          slot->queue.depth() >= adm.max_queue_depth;
 }
 

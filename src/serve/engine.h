@@ -102,13 +102,15 @@ class Engine {
   ///   - submit after shutdown   -> RequestCancelled
   PendingResult submit(std::string_view model_id, transformer::BatchInput in);
 
-  /// True when the slot's bounded queue is at (or over) its admission
-  /// depth right now — i.e. a submit at this instant would shed. False for
-  /// unbounded slots and unknown ids. The network front-end consults this
-  /// BEFORE deserializing a request's tokens ("shed before parse"): under
-  /// overload the expensive part of admission is refused at the socket for
-  /// the cost of a depth read. Advisory by nature — the queue re-checks
-  /// under its own mutex at submit, which remains the authoritative shed.
+  /// True when a submit at this instant would be refused: the slot sheds
+  /// with ShedPolicy::kRejectNew and its bounded queue is at (or over) its
+  /// admission depth. False for kRejectOldest slots (a full queue admits the
+  /// new request and evicts its oldest one), unbounded slots and unknown
+  /// ids. The network front-end consults this BEFORE deserializing a
+  /// request's tokens ("shed before parse"): under overload the expensive
+  /// part of admission is refused at the socket for the cost of a depth
+  /// read. Advisory by nature — the queue re-checks under its own mutex at
+  /// submit, which remains the authoritative shed.
   bool overloaded(std::string_view model_id) const;
 
   bool has_model(std::string_view model_id) const;

@@ -284,18 +284,13 @@ TEST(SimdDispatch, DetectionReport) {
 
 TEST(SimdDispatch, EnvironmentPolicyOnlyLowersTheTier) {
   const SimdTier det = SimdTier::kAvx512;
-  // NNLUT_FORCE_SCALAR wins over everything except "off" spellings.
-  EXPECT_EQ(simd::env_capped_tier("1", nullptr, det), SimdTier::kScalar);
-  EXPECT_EQ(simd::env_capped_tier("yes", "avx512", det), SimdTier::kScalar);
-  EXPECT_EQ(simd::env_capped_tier("0", nullptr, det), det);
-  EXPECT_EQ(simd::env_capped_tier("", nullptr, det), det);
   // NNLUT_SIMD_TIER caps at the named tier, clamped to detection.
-  EXPECT_EQ(simd::env_capped_tier(nullptr, "avx2", det), SimdTier::kAvx2);
-  EXPECT_EQ(simd::env_capped_tier(nullptr, "scalar", det), SimdTier::kScalar);
-  EXPECT_EQ(simd::env_capped_tier(nullptr, "avx512", SimdTier::kAvx2),
+  EXPECT_EQ(simd::env_capped_tier("avx2", det), SimdTier::kAvx2);
+  EXPECT_EQ(simd::env_capped_tier("scalar", det), SimdTier::kScalar);
+  EXPECT_EQ(simd::env_capped_tier("avx512", SimdTier::kAvx2),
             SimdTier::kAvx2);  // clamp: never above the CPU
-  EXPECT_EQ(simd::env_capped_tier(nullptr, "bogus", det), det);
-  EXPECT_EQ(simd::env_capped_tier(nullptr, nullptr, det), det);
+  EXPECT_EQ(simd::env_capped_tier("bogus", det), det);
+  EXPECT_EQ(simd::env_capped_tier(nullptr, det), det);
 }
 
 TEST(SimdDispatch, ForcingAnUnsupportedTierThrowsAndKeepsState) {

@@ -12,8 +12,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <cstring>
+#include <mutex>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -617,6 +620,107 @@ TEST(NetLoopback, ShedBeforeParseComposesWithAdmissionControl) {
             slot.submitted + slot.rejected_overload + slot.rejected_validation
                 + slot.rejected_shutdown);
   expect_net_identity(net);
+  runtime::set_runtime_config({});
+}
+
+/// Exact nonlinearities behind a gate: the first LayerNorm call parks until
+/// release(), which holds the slot's scheduler inside exec for as long as a
+/// test needs a known queue state.
+class GatedNonlinearities final : public NonlinearitySet {
+ public:
+  explicit GatedNonlinearities(ActKind act) : inner_(act) {}
+
+  void activation_rows(std::span<float> data, std::size_t nrows,
+                       std::size_t ncols, int site) override {
+    inner_.activation_rows(data, nrows, ncols, site);
+  }
+  void softmax_rows(std::span<float> data, std::size_t nrows,
+                    std::size_t ncols, int site) override {
+    inner_.softmax_rows(data, nrows, ncols, site);
+  }
+  void layer_norm_rows(std::span<const float> x, std::span<float> y,
+                       std::size_t nrows, std::size_t ncols,
+                       std::span<const float> gamma,
+                       std::span<const float> beta, int site) override {
+    {
+      std::unique_lock<std::mutex> lk(mu_);
+      held_ = true;
+      cv_.notify_all();
+      cv_.wait(lk, [this] { return open_; });
+    }
+    inner_.layer_norm_rows(x, y, nrows, ncols, gamma, beta, site);
+  }
+
+  void wait_until_held() {
+    std::unique_lock<std::mutex> lk(mu_);
+    cv_.wait(lk, [this] { return held_; });
+  }
+  void release() {
+    std::lock_guard<std::mutex> lk(mu_);
+    open_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  ExactNonlinearities inner_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool held_ = false;
+  bool open_ = false;
+};
+
+TEST(NetLoopback, FullRejectOldestSlotEvictsOldestInsteadOfSheddingNewest) {
+  // A kRejectOldest slot at its depth bound must admit the newest request
+  // and evict the oldest queued one; the socket must not refuse the newest
+  // before parsing it. A is held inside exec, B fills the one queue place,
+  // then C arrives: B resolves kOverloaded and C is served.
+  Rng rng(79);
+  TaskModel model(tiny(), HeadKind::kClassify, 2, rng);
+  GatedNonlinearities gated(model.config().act);
+  serve::Engine engine(serve::EngineConfig{/*threads=*/1});
+  serve::SlotConfig scfg;
+  scfg.max_batch = 1;
+  scfg.admission = {/*max_queue_depth=*/1, serve::ShedPolicy::kRejectOldest};
+  engine.register_model("oldest", model, gated, scfg);
+  TcpServer server(engine);
+  Client client("127.0.0.1", server.port());
+
+  Rng req_rng(80);
+  const BatchInput a = random_request(tiny(), 1, 8, req_rng);
+  const BatchInput b = random_request(tiny(), 1, 8, req_rng);
+  const BatchInput c = random_request(tiny(), 1, 8, req_rng);
+  const auto id_a = client.submit("oldest", a);
+  gated.wait_until_held();  // A is inside exec; the queue is empty
+  const auto id_b = client.submit("oldest", b);
+  const auto id_c = client.submit("oldest", c);
+  // Release only once the server has handled all three frames, whichever
+  // way it handled them.
+  const auto deadline = std::chrono::steady_clock::now() + 30s;
+  for (;;) {
+    const NetStats net = server.stats();
+    if (net.submits_forwarded + net.sheds_preparse == 3) break;
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+    std::this_thread::sleep_for(1ms);
+  }
+  gated.release();
+
+  const Completion done_a = client.await(id_a);
+  const Completion done_b = client.await(id_b);
+  const Completion done_c = client.await(id_c);
+  EXPECT_TRUE(done_a.ok) << done_a.message;
+  EXPECT_FALSE(done_b.ok);
+  EXPECT_EQ(done_b.code, ErrorCode::kOverloaded) << done_b.message;
+  ASSERT_TRUE(done_c.ok) << done_c.message;
+  server.stop();
+  EXPECT_EQ(server.stats().sheds_preparse, 0u);
+  expect_net_identity(server.stats());
+
+  ExactNonlinearities exact(model.config().act);
+  const Tensor direct = InferenceModel(model, exact).logits(c);
+  ASSERT_EQ(done_c.logits.shape(), direct.shape());
+  EXPECT_EQ(std::memcmp(done_c.logits.data(), direct.data(),
+                        direct.size() * sizeof(float)),
+            0);
   runtime::set_runtime_config({});
 }
 

@@ -111,6 +111,35 @@ TEST(Serialization, RejectsMalformedAndNonFiniteValues) {
   EXPECT_THROW(read_net(net), std::runtime_error);
 }
 
+// A count line is exactly "<key> <decimal>" with a count that fits
+// std::size_t; any other line is refused with an error naming the key.
+TEST(Serialization, RejectsMalformedCountLines) {
+  const char* const bad_counts[] = {
+      "entries 3junk", "entries 3 4", "entries +3",  "entries -3",
+      "entries  3",    "entries 3 ",  "entries 0x3", "entries 3.0",
+      "entries",       "entries ",    " entries 3",  "entry 3",
+      "entries 99999999999999999999999",  // overflows std::size_t
+  };
+  for (const char* bad : bad_counts) {
+    std::stringstream ss(std::string("nnlut-lut v1\n") + bad +
+                         "\nbreakpoints 0 1\nslopes 1 2 3\nintercepts 0 0 0\n");
+    try {
+      (void)read_lut(ss);
+      ADD_FAILURE() << "accepted: '" << bad << "'";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("entries"), std::string::npos)
+          << e.what();
+    }
+  }
+  std::stringstream net("nnlut-net v1\nhidden 1junk\nn 1\nb 2\nm 3\nc 4\n");
+  EXPECT_THROW(read_net(net), std::runtime_error);
+
+  std::stringstream ok(
+      "nnlut-lut v1\nentries 3\nbreakpoints 0 1\nslopes 1 2 3\n"
+      "intercepts 0 0 0\n");
+  EXPECT_EQ(read_lut(ok).entries(), 3u);
+}
+
 TEST(Serialization, RejectsTruncatedInput) {
   const PiecewiseLinear lut = sample_lut();
   std::stringstream ss;
